@@ -8,8 +8,8 @@
 //! These rules predate the rest of the static analyzer (they grew up
 //! inside emc-verify) and moved here so the zero-exploration lint tier,
 //! the fuzzer pre-filter, and the verifier all share one implementation.
-//! `emc_verify::rails` re-exports everything, so existing paths keep
-//! working.
+//! `emc-verify` imports them from here and re-exports them at its crate
+//! root.
 
 use emc_netlist::{Diagnostic, GateKind, NetId, Netlist, Severity};
 

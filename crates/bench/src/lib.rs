@@ -22,6 +22,8 @@ pub use pdes_rig::{
 use std::fs;
 use std::path::PathBuf;
 
+use emc_obs::{json_number, json_string};
+
 /// A figure data series: named columns and numeric rows.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -118,44 +120,6 @@ impl Series {
         self.print();
         self.save();
         println!();
-    }
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-/// Shared by every hand-rolled JSON writer in this crate (the workspace
-/// builds offline, with no serialisation framework).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON numbers: shortest round-trippable form; non-finite values map to
-/// `null` (JSON has no NaN/Infinity).
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on an integral f64 prints "1", which JSON would re-read
-        // as an integer; keep the float-ness explicit.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
     }
 }
 

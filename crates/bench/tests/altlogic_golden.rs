@@ -11,6 +11,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use emc_obs::digest::{fold_bytes, FNV_OFFSET};
+
 /// FNV-1a of `target/figures/fig_altlogic_energy.json` after a
 /// `--smoke` run.
 const FIG_ENERGY_DIGEST: u64 = 0x3b64_435e_d32c_df85;
@@ -26,15 +28,6 @@ const ABLATION_REPLAY_DIGEST: u64 = 0xa396_c30f_5f1b_ddc6;
 /// FNV-1a of `target/figures/ablation_razor_dvs.json` after a
 /// `--smoke` run.
 const ABLATION_DVS_DIGEST: u64 = 0x5937_deb8_b28a_c333;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn figures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures")
@@ -64,7 +57,7 @@ fn run_and_read(bin: &str, threads: usize, series: &[&str]) -> Vec<Vec<u8>> {
 fn assert_identical_and_pinned(bin: &str, series: &[&str], pins: &[u64]) {
     let reference = run_and_read(bin, 1, series);
     for (i, id) in series.iter().enumerate() {
-        let got = fnv64(&reference[i]);
+        let got = fold_bytes(FNV_OFFSET, &reference[i]);
         assert_eq!(
             got, pins[i],
             "{id}.json bytes moved: got {got:#018x}. If a model change makes \
@@ -110,13 +103,22 @@ fn print_golden_constants() {
         1,
         &["fig_altlogic_energy", "fig_altlogic_ramp"],
     );
-    println!("FIG_ENERGY_DIGEST: {:#018x}", fnv64(&fig[0]));
-    println!("FIG_RAMP_DIGEST: {:#018x}", fnv64(&fig[1]));
+    println!(
+        "FIG_ENERGY_DIGEST: {:#018x}",
+        fold_bytes(FNV_OFFSET, &fig[0])
+    );
+    println!("FIG_RAMP_DIGEST: {:#018x}", fold_bytes(FNV_OFFSET, &fig[1]));
     let abl = run_and_read(
         env!("CARGO_BIN_EXE_ablation_razor_replay"),
         1,
         &["ablation_razor_replay", "ablation_razor_dvs"],
     );
-    println!("ABLATION_REPLAY_DIGEST: {:#018x}", fnv64(&abl[0]));
-    println!("ABLATION_DVS_DIGEST: {:#018x}", fnv64(&abl[1]));
+    println!(
+        "ABLATION_REPLAY_DIGEST: {:#018x}",
+        fold_bytes(FNV_OFFSET, &abl[0])
+    );
+    println!(
+        "ABLATION_DVS_DIGEST: {:#018x}",
+        fold_bytes(FNV_OFFSET, &abl[1])
+    );
 }

@@ -14,6 +14,7 @@ use std::process::Command;
 use emc_async::{DualRailAdder, SelfTimedOscillator, ToggleRippleCounter};
 use emc_device::DeviceModel;
 use emc_netlist::{GateKind, Netlist};
+use emc_obs::digest::{fold_bytes, FNV_OFFSET};
 use emc_power::chain::ac_supply;
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
@@ -44,15 +45,6 @@ const SEEDED_RING_DIGESTS: [u64; 3] = [
 const LINT_JSON_DIGEST: u64 = 0x4b94_c385_f659_1c4e;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fig04_digest() -> u64 {
     let freq = Hertz(1e6);
@@ -227,10 +219,10 @@ fn lint_json_bytes(threads: usize) -> Vec<u8> {
 fn emc_lint_json_bytes_identical_across_thread_counts_and_pinned() {
     let reference = lint_json_bytes(1);
     assert_eq!(
-        fnv64(&reference),
+        fold_bytes(FNV_OFFSET, &reference),
         LINT_JSON_DIGEST,
         "emc-lint --json bytes moved: got {:#018x}",
-        fnv64(&reference)
+        fold_bytes(FNV_OFFSET, &reference)
     );
     for threads in [2usize, 8] {
         assert_eq!(
@@ -269,5 +261,8 @@ fn print_golden_constants() {
     for (i, run) in report.runs.iter().enumerate() {
         println!("SEEDED_RING_DIGESTS[{i}]: {:#018x}", run.trace_digest);
     }
-    println!("LINT_JSON_DIGEST: {:#018x}", fnv64(&lint_json_bytes(1)));
+    println!(
+        "LINT_JSON_DIGEST: {:#018x}",
+        fold_bytes(FNV_OFFSET, &lint_json_bytes(1))
+    );
 }

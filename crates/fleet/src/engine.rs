@@ -29,15 +29,14 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use emc_core::{PowerGame, TaskBid};
+use emc_obs::digest::{fold_u64, FNV_OFFSET};
 use emc_obs::Telemetry;
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
 use emc_units::{Seconds, Waveform};
 
 use crate::event::{EventKind, EventQueue, Message, Nanos};
 use crate::island::{CalibDepth, IslandModel, SensorModel};
-use crate::node::{
-    fnv_fold, from_femtojoules, NodeClass, NodeLedger, NodeState, NodeSummary, CLASSES, FNV_OFFSET,
-};
+use crate::node::{from_femtojoules, NodeClass, NodeLedger, NodeState, NodeSummary, CLASSES};
 use crate::topology::{Topology, TopologyKind};
 
 /// A harvest drought: every harvester in the fleet is throttled to
@@ -271,10 +270,9 @@ impl FleetReport {
     }
 
     /// Renders the report as deterministic JSON: no wall-clock, no
-    /// float formatting surprises (fixed-notation via the repo's
-    /// `json_number` convention is not available here, so energies are
-    /// printed as exact femtojoule integers and rates as bit-exact
-    /// shortest-round-trip floats).
+    /// float formatting surprises (energies are printed as exact
+    /// femtojoule integers and rates as bit-exact shortest-round-trip
+    /// floats).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
@@ -551,7 +549,7 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         // run ended are still in flight (latencies run to 4 epochs).
         inflight += shard.queue.pending_deliveries();
         for node in &mut shard.nodes {
-            digest = fnv_fold(digest, node.finish());
+            digest = fold_u64(digest, node.finish());
             summary = summary.merge(&node.summary);
             ledger = ledger.merge(&node.ledger);
             let ci = node.class.index();
@@ -561,12 +559,12 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
     }
     // Fold the arbitration trace and loose ends into the digest.
     for row in &epoch_rows {
-        digest = fnv_fold(digest, row.budget_w.to_bits());
+        digest = fold_u64(digest, row.budget_w.to_bits());
         for q in row.quotas {
-            digest = fnv_fold(digest, u64::from(q));
+            digest = fold_u64(digest, u64::from(q));
         }
     }
-    digest = fnv_fold(digest, inflight);
+    digest = fold_u64(digest, inflight);
 
     FleetReport {
         nodes: config.nodes,

@@ -11,12 +11,11 @@
 //!   shard's queue directly; they go to an outbox and are routed by the
 //!   single-threaded epoch barrier (see [`crate::engine`]).
 //!
-//! Storage is the shared [`CalendarQueue`] from `emc-sim` (amortized
-//! O(1) hold operations on the heavily-recurring wake timers) rather
-//! than a binary heap; ordering is identical because the calendar
-//! always falls back to the event's full `Ord`.
+//! Storage is a `BinaryHeap<Reverse<FleetEvent>>`, so pop order is
+//! exactly the event's full `Ord`.
 
-use emc_sim::{CalendarEntry, CalendarQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Fleet simulation time in integer nanoseconds. Integer time makes
 /// event ordering exact — no float-comparison ties to break.
@@ -76,18 +75,10 @@ fn order_rank(kind: &EventKind) -> u32 {
     }
 }
 
-impl CalendarEntry for FleetEvent {
-    fn sort_time(&self) -> f64 {
-        // u64 → f64 loses low bits past 2^53 but stays monotone, which
-        // is all bucketing needs — exact order still comes from `Ord`.
-        self.time as f64
-    }
-}
-
 /// A min-queue of [`FleetEvent`]s with deterministic pop order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    queue: CalendarQueue<FleetEvent>,
+    queue: BinaryHeap<Reverse<FleetEvent>>,
     next_seq: u64,
 }
 
@@ -104,12 +95,12 @@ impl EventQueue {
     pub fn push(&mut self, time: Nanos, node: u32, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(FleetEvent {
+        self.queue.push(Reverse(FleetEvent {
             time,
             node,
             seq,
             kind,
-        });
+        }));
     }
 
     /// Pops the next event strictly before `horizon`, or `None` when the
@@ -117,7 +108,7 @@ impl EventQueue {
     /// horizon stay queued for a later epoch.
     pub fn pop_before(&mut self, horizon: Nanos) -> Option<FleetEvent> {
         match self.queue.peek() {
-            Some(ev) if ev.time < horizon => self.queue.pop(),
+            Some(Reverse(ev)) if ev.time < horizon => self.queue.pop().map(|Reverse(ev)| ev),
             _ => None,
         }
     }
@@ -133,7 +124,7 @@ impl EventQueue {
     pub fn pending_deliveries(&self) -> u64 {
         self.queue
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
+            .filter(|Reverse(e)| matches!(e.kind, EventKind::Deliver { .. }))
             .count() as u64
     }
 
@@ -161,6 +152,7 @@ pub struct Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emc_prng::{Rng, StdRng};
 
     #[test]
     fn pops_in_time_node_seq_order() {
@@ -174,6 +166,56 @@ mod tests {
             .collect();
         // Same time → lower node id first; same node → insertion order.
         assert_eq!(order, vec![(10, 3, 2), (10, 3, 3), (10, 9, 1), (50, 7, 0)]);
+
+        // Seeded bulk case: a burst deeper than 2048 entries, then pushes
+        // interleaved with horizon-bounded pops, all on a coarse time
+        // grid so most events tie on `time`. New events land at or past
+        // the horizon, as the engine's do, so the global pop sequence
+        // must be non-decreasing in `(time, node, seq)`.
+        let mut rng = StdRng::seed_from_u64(0xf1ee7);
+        let mut q = EventQueue::new();
+        let (mut pushed, mut popped, mut delivers) = (0usize, 0usize, 0u64);
+        let mut horizon: Nanos = 0;
+        let mut last = (0, 0, 0);
+        let mut high_water = 0;
+        while pushed < 12_000 || !q.is_empty() {
+            let burst = match pushed {
+                0 => 3_000,
+                n if n < 12_000 => rng.gen_range(1..8usize),
+                _ => 0,
+            };
+            for _ in 0..burst {
+                let time = horizon + rng.gen_range(0..4u64) * 25;
+                let node = rng.gen_range(0..64u32);
+                let kind = if rng.gen_bool(0.3) {
+                    delivers += 1;
+                    EventKind::Deliver {
+                        src: rng.gen_range(0..64u32),
+                        msg_seq: pushed as u32,
+                    }
+                } else {
+                    EventKind::Wake
+                };
+                q.push(time, node, kind);
+                pushed += 1;
+            }
+            high_water = high_water.max(q.len());
+            horizon += rng.gen_range(0..40u64);
+            while let Some(e) = q.pop_before(horizon) {
+                let key = (e.time, e.node, e.seq);
+                assert!(e.time < horizon, "popped {key:?} at horizon {horizon}");
+                assert!(key >= last, "popped {key:?} after {last:?}");
+                last = key;
+                popped += 1;
+                if matches!(e.kind, EventKind::Deliver { .. }) {
+                    delivers -= 1;
+                }
+            }
+            assert_eq!(q.len(), pushed - popped);
+            assert_eq!(q.pending_deliveries(), delivers);
+        }
+        assert!(high_water > 2048, "burst never went deep: {high_water}");
+        assert_eq!(popped, pushed);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! commutative — f64 accumulation would make the merged fleet ledger
 //! depend on merge grouping, which the deterministic sharding forbids.
 
+use emc_obs::digest::{fold_u64, FNV_OFFSET};
 use emc_power::{DcDcConverter, PowerChain, SolarCell, StorageCap, VibrationHarvester};
 use emc_prng::{Rng, SplitMix64, StdRng};
 use emc_units::{Farads, Hertz, Joules, Seconds, Volts, Watts, Waveform};
@@ -127,8 +128,8 @@ impl NodeLedger {
     }
 
     /// Fold the ledger into an FNV-1a accumulator (digest building).
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        for v in [
+    pub fn fold_digest(&self, h: u64) -> u64 {
+        [
             self.harvested_fj,
             self.spilled_fj,
             self.sense_fj,
@@ -138,24 +139,11 @@ impl NodeLedger {
             self.loss_fj,
             self.deficit_fj,
             self.stored_fj,
-        ] {
-            h = fnv_fold(h, v);
-        }
-        h
+        ]
+        .into_iter()
+        .fold(h, fold_u64)
     }
 }
-
-/// One FNV-1a step over a `u64` (the repo-wide digest primitive).
-pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// QoS class of a node — its duty period, workload and radio appetite.
 /// Nodes are assigned round-robin (`node_id % 3`).
@@ -277,8 +265,8 @@ impl NodeSummary {
     }
 
     /// Fold the counters into an FNV-1a accumulator.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        for v in [
+    pub fn fold_digest(&self, h: u64) -> u64 {
+        [
             self.expected,
             self.completed,
             self.refused,
@@ -287,10 +275,9 @@ impl NodeSummary {
             self.received,
             self.dropped,
             self.wakes,
-        ] {
-            h = fnv_fold(h, v);
-        }
-        h
+        ]
+        .into_iter()
+        .fold(h, fold_u64)
     }
 }
 
@@ -453,7 +440,7 @@ impl NodeState {
         self.ledger.radio_fj += to_femtojoules(e_radio);
         self.summary.completed += 1;
         self.summary.ops += ops;
-        self.sense_digest = fnv_fold(self.sense_digest, code);
+        self.sense_digest = fold_u64(self.sense_digest, code);
         if will_send {
             let link = links[self.rng.gen_range(0..links.len())];
             let seq = self.msg_seq;
@@ -473,7 +460,7 @@ impl NodeState {
     /// same all-or-nothing discipline; refusal drops the message.
     pub fn receive(&mut self, src: u32, msg_seq: u32) {
         // Fold the arrival into the digest so routing bugs change it.
-        self.sense_digest = fnv_fold(self.sense_digest, u64::from(src) << 32 | u64::from(msg_seq));
+        self.sense_digest = fold_u64(self.sense_digest, u64::from(src) << 32 | u64::from(msg_seq));
         if self.chain.draw_quantum(Joules(RX_J), Seconds(1e-6)) {
             self.ledger.radio_fj += to_femtojoules(RX_J);
             self.summary.received += 1;
@@ -527,7 +514,7 @@ impl NodeState {
         self.ledger.stored_fj = to_femtojoules(self.chain.storage().stored_energy().0);
         let mut h = self.summary.fold_digest(FNV_OFFSET);
         h = self.ledger.fold_digest(h);
-        fnv_fold(h, self.sense_digest)
+        fold_u64(h, self.sense_digest)
     }
 }
 

@@ -170,12 +170,14 @@ fn neighbours(kind: TopologyKind, node: u32, nodes: u32) -> Vec<u32> {
                 for m in head + 1..(head + CLUSTER_SIZE).min(nodes) {
                     out.push(m);
                 }
-                let heads: Vec<u32> = (0..nodes).step_by(CLUSTER_SIZE as usize).collect();
-                if heads.len() > 1 {
-                    let idx = heads.iter().position(|&h| h == head).expect("own head");
-                    let prev = heads[(idx + heads.len() - 1) % heads.len()];
+                // Heads sit at every multiple of CLUSTER_SIZE, so the
+                // ring position is closed-form (no per-head scan).
+                let heads = nodes.div_ceil(CLUSTER_SIZE);
+                if heads > 1 {
+                    let idx = head / CLUSTER_SIZE;
+                    let prev = (idx + heads - 1) % heads * CLUSTER_SIZE;
                     out.push(prev);
-                    let next = heads[(idx + 1) % heads.len()];
+                    let next = (idx + 1) % heads * CLUSTER_SIZE;
                     if next != prev {
                         out.push(next);
                     }
@@ -227,6 +229,11 @@ mod tests {
         let head_dsts: Vec<u32> = t.links(32).iter().map(|l| l.dst).collect();
         assert!(head_dsts.contains(&33));
         assert!(head_dsts.contains(&0) && head_dsts.contains(&64));
+        // The head ring wraps at both ends; the last cluster is short.
+        let first: Vec<u32> = t.links(0).iter().map(|l| l.dst).collect();
+        assert_eq!(first[31..], [96, 32]);
+        let last: Vec<u32> = t.links(96).iter().map(|l| l.dst).collect();
+        assert_eq!(last, [97, 98, 99, 64, 0]);
     }
 
     #[test]

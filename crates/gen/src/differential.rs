@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use emc_device::DeviceModel;
 use emc_netlist::{NetId, Netlist};
+use emc_obs::digest::{fold_u64, FNV_OFFSET};
 use emc_prng::{Rng, StdRng};
 use emc_sim::{Simulator, SupplyKind};
 use emc_units::{Hertz, Seconds, Waveform};
@@ -33,17 +34,6 @@ use emc_verify::{Explorer, State, Verifier};
 
 use crate::env::{to_environment, SimView};
 use crate::GeneratedCircuit;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Packs per-net boolean values into words, one bit per net index —
 /// the common projection of verifier states and simulator snapshots.
@@ -239,7 +229,7 @@ pub fn run_differential(
     while violation.is_none() && applied < rounds {
         // Fold the quiescent state the circuit settled to.
         for w in project(sim.netlist(), |n| sim.value(n)).iter() {
-            digest = fnv1a_u64(digest, *w);
+            digest = fold_u64(digest, *w);
         }
         let mut acts = gc.env.step(env_state, &SimView(&sim));
         acts.retain(|a| sim.value(a.net) != a.value);
@@ -247,8 +237,8 @@ pub fn run_differential(
             break;
         }
         let a = acts[rng.gen_range(0..acts.len())].clone();
-        digest = fnv1a_u64(digest, a.net.index() as u64);
-        digest = fnv1a_u64(digest, u64::from(a.value));
+        digest = fold_u64(digest, a.net.index() as u64);
+        digest = fold_u64(digest, u64::from(a.value));
         sim.schedule_input(a.net, sim.now(), a.value);
         env_state = a.next;
         applied += 1;
@@ -256,7 +246,7 @@ pub fn run_differential(
     }
     // Fold the final quiescent state.
     for w in project(sim.netlist(), |n| sim.value(n)).iter() {
-        digest = fnv1a_u64(digest, *w);
+        digest = fold_u64(digest, *w);
     }
 
     DiffReport {
@@ -410,7 +400,7 @@ pub fn check_generated(
                 ),
             );
         }
-        digest = fnv1a_u64(digest, diff.digest);
+        digest = fold_u64(digest, diff.digest);
     }
 
     let text = emc_netlist::to_text(&gc.netlist);

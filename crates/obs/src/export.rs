@@ -13,7 +13,7 @@ use crate::Telemetry;
 use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, including the quotes.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -34,8 +34,9 @@ fn json_string(s: &str) -> String {
 }
 
 /// Shortest round-trip JSON number; integral values keep a `.0` so the
-/// value parses back as a float, non-finite values become `null`.
-fn json_number(v: f64) -> String {
+/// value parses back as a float, non-finite values become `null`
+/// (JSON has no NaN/Infinity).
+pub fn json_number(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
     }

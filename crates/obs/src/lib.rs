@@ -23,7 +23,12 @@
 //!   (`domain/vdd`, `group/cnt`, `op/read`) by [`EnergyKind`]
 //!   (dissipated, leaked, harvested, stored).
 //! * [`export`] — [`Telemetry`] bundles rendered as JSONL, Chrome
-//!   trace-event JSON, or Prometheus text exposition.
+//!   trace-event JSON, or Prometheus text exposition, built on the
+//!   workspace's one JSON string/number writer ([`json_string`],
+//!   [`json_number`]).
+//!
+//! Alongside them, [`digest`] holds the 64-bit FNV-1a fold every pinned
+//! digest in the workspace is built from.
 //!
 //! Instrumented components own an `Option<Telemetry>`-shaped handle and
 //! check it once per event (a single predictable branch when disabled —
@@ -35,13 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod energy;
 pub mod export;
 pub mod metrics;
 pub mod span;
 
 pub use energy::{EnergyKind, EnergyLedger};
-pub use export::{to_chrome_trace, to_jsonl, to_prometheus};
+pub use export::{json_number, json_string, to_chrome_trace, to_jsonl, to_prometheus};
 pub use metrics::{CounterId, GaugeId, HistogramId, Metrics};
 pub use span::{Span, SpanLog};
 

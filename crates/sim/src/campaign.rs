@@ -87,6 +87,7 @@ use std::time::{Duration, Instant};
 
 use emc_device::DeviceModel;
 use emc_netlist::Netlist;
+use emc_obs::digest::{fold_u64, FNV_OFFSET};
 use emc_obs::Telemetry;
 use emc_prng::SplitMix64;
 use emc_units::{Joules, Seconds};
@@ -215,32 +216,19 @@ impl RunReport {
         self
     }
 
-    fn fold_into(&self, h: &mut Fnv) {
-        h.eat(&(self.index as u64).to_le_bytes());
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(&self.stats.fired.to_le_bytes());
-        h.eat(&self.stats.hazards.to_le_bytes());
-        h.eat(&self.energy.0.to_bits().to_le_bytes());
-        h.eat(&self.hazards.to_le_bytes());
-        h.eat(&self.trace_digest.to_le_bytes());
-        for v in &self.values {
-            h.eat(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
-/// 64-bit FNV-1a, shared by the report digests.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fn fold_into(&self, h: u64) -> u64 {
+        let h = [
+            self.index as u64,
+            self.seed,
+            self.stats.fired,
+            self.stats.hazards,
+            self.energy.0.to_bits(),
+            self.hazards,
+            self.trace_digest,
+        ]
+        .into_iter()
+        .fold(h, fold_u64);
+        self.values.iter().fold(h, |h, v| fold_u64(h, v.to_bits()))
     }
 }
 
@@ -268,13 +256,8 @@ impl CampaignReport {
     /// Digest of the deterministic content: seed and every run report,
     /// in order. Equal digests ⇒ byte-identical figure data.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(&(self.runs.len() as u64).to_le_bytes());
-        for r in &self.runs {
-            r.fold_into(&mut h);
-        }
-        h.0
+        let h = fold_u64(fold_u64(FNV_OFFSET, self.seed), self.runs.len() as u64);
+        self.runs.iter().fold(h, |h, r| r.fold_into(h))
     }
 
     /// Sum of events fired across runs.
@@ -577,11 +560,6 @@ mod tests {
             RunReport::from_values(ctx, vec![])
         });
         assert!(report.runs.is_empty());
-        assert_eq!(report.digest(), {
-            let mut h = Fnv::new();
-            h.eat(&5u64.to_le_bytes());
-            h.eat(&0u64.to_le_bytes());
-            h.0
-        });
+        assert_eq!(report.digest(), fold_u64(fold_u64(FNV_OFFSET, 5), 0));
     }
 }

@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod campaign;
 pub mod delay;
 pub mod domain;
@@ -70,7 +69,6 @@ pub mod sta;
 pub mod trace;
 pub mod vcd;
 
-pub use calendar::{CalendarEntry, CalendarQueue};
 pub use campaign::{
     run_campaign, CampaignConfig, CampaignReport, RunContext, RunReport, SimCampaign, SimJob,
     StopCondition,

@@ -9,7 +9,6 @@ use emc_netlist::{GateId, GateKind, NetId, Netlist};
 use emc_obs::{EnergyKind, Telemetry};
 use emc_units::{Farads, Joules, Seconds, Volts, Watts};
 
-use crate::calendar::{CalendarEntry, CalendarQueue};
 use crate::delay::{completion_time, Completion};
 use crate::domain::{DomainId, PowerDomain, SupplyKind};
 use crate::obs::SimObs;
@@ -93,17 +92,11 @@ impl PartialOrd for QueuedEvent {
 }
 impl Ord for QueuedEvent {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Natural ascending (time, seq) order; the calendar queue pops
-        // its minimum first.
+        // Natural ascending (time, seq) order; the queue wraps entries
+        // in `Reverse` so the max-heap pops the minimum first.
         self.time
             .total_cmp(&other.time)
             .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl CalendarEntry for QueuedEvent {
-    fn sort_time(&self) -> f64 {
-        self.time
     }
 }
 
@@ -172,7 +165,7 @@ pub struct Simulator {
     values: Vec<bool>,
     pending: Vec<Option<Pending>>,
     epochs: Vec<u64>,
-    queue: CalendarQueue<QueuedEvent>,
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
     now: Seconds,
     started: bool,
@@ -241,7 +234,7 @@ impl Simulator {
             values,
             pending: vec![None; gates],
             epochs: vec![0; gates],
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             seq: 0,
             now: Seconds(0.0),
             started: false,
@@ -628,13 +621,13 @@ impl Simulator {
 
     fn step_outcome_admit(&mut self, admit: impl Fn(f64) -> bool) -> StepOutcome {
         loop {
-            let Some(head) = self.queue.peek() else {
+            let Some(Reverse(head)) = self.queue.peek() else {
                 return StepOutcome::Exhausted;
             };
             if !admit(head.time) {
                 return StepOutcome::Exhausted;
             }
-            let ev = self.queue.pop().expect("peeked entry vanished");
+            let Reverse(ev) = self.queue.pop().expect("peeked entry vanished");
             if let Some(h) = self.pdes.as_deref_mut() {
                 // The popped entry is no longer the gate's live event.
                 if h.pending_seq[ev.gate] == ev.seq {
@@ -797,8 +790,8 @@ impl Simulator {
     }
 
     /// Time of the earliest queued event, if any.
-    pub fn pdes_head_time(&mut self) -> Option<f64> {
-        self.queue.peek().map(|e| e.time)
+    pub fn pdes_head_time(&self) -> Option<f64> {
+        self.queue.peek().map(|Reverse(e)| e.time)
     }
 
     /// Conservative lower bound on the time of this partition's next
@@ -891,7 +884,7 @@ impl Simulator {
     }
 
     fn push_event(&mut self, ev: QueuedEvent) {
-        self.queue.push(ev);
+        self.queue.push(Reverse(ev));
     }
 
     fn eval_gate(&self, gate: GateId) -> bool {

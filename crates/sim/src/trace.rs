@@ -1,6 +1,7 @@
 //! Signal traces recorded during simulation.
 
 use emc_netlist::NetId;
+use emc_obs::digest::{fold_bytes, fold_u64, FNV_OFFSET};
 use emc_units::Seconds;
 
 /// One recorded transition on a watched net.
@@ -99,21 +100,9 @@ impl Trace {
     /// order, so a digest pins a run's behaviour for golden-trace and
     /// campaign-determinism tests without storing the trace itself.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for e in &self.entries {
-            eat(&e.time.0.to_bits().to_le_bytes());
-            eat(&(e.net.index() as u64).to_le_bytes());
-            eat(&[e.value as u8]);
-        }
-        h
+        self.entries.iter().fold(FNV_OFFSET, |h, e| {
+            fold_entry(h, e.time.0.to_bits(), e.net.index(), e.value)
+        })
     }
 
     /// Like [`Trace::digest`], but over the entries in canonical
@@ -131,22 +120,17 @@ impl Trace {
             .map(|e| (e.time.0.to_bits(), e.net.index(), e.value))
             .collect();
         keys.sort_unstable();
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for (t, n, v) in keys {
-            eat(&t.to_le_bytes());
-            eat(&(n as u64).to_le_bytes());
-            eat(&[v as u8]);
-        }
-        h
+        keys.into_iter()
+            .fold(FNV_OFFSET, |h, (t, n, v)| fold_entry(h, t, n, v))
     }
+}
+
+/// One trace entry's digest bytes: time bits, net index, value.
+fn fold_entry(h: u64, time_bits: u64, net: usize, value: bool) -> u64 {
+    fold_bytes(
+        fold_u64(fold_u64(h, time_bits), net as u64),
+        &[u8::from(value)],
+    )
 }
 
 #[cfg(test)]
@@ -205,7 +189,7 @@ mod tests {
     #[test]
     fn digest_is_reproducible_and_order_sensitive() {
         let (a, b) = nets();
-        let mut build = |entries: &[(f64, NetId, bool)]| {
+        let build = |entries: &[(f64, NetId, bool)]| {
             let mut tr = Trace::new();
             for &(t, n, v) in entries {
                 tr.record(Seconds(t), n, v);

@@ -33,11 +33,11 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
+use emc_analyze::{discover_rail_pairs, RailPair};
 use emc_netlist::{Diagnostic, GateId, GateKind, NetId, Netlist, Severity};
 use emc_obs::metrics::pow2_bounds;
 use emc_obs::{CounterId, GaugeId, HistogramId, Telemetry};
 
-use crate::rails::{discover_rail_pairs, RailPair};
 use crate::reduce::{EnvFootprint, ReduceScratch, ReductionEngine};
 
 /// One global state of the closed circuit–environment system,

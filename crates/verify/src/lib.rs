@@ -30,7 +30,8 @@
 //!
 //! The `NET*` rules are structural ([`Netlist::validate`]); `CD001` and
 //! `TA001` are structural over discovered rail pairs and primitives
-//! ([`rails`]); `SI001`/`DR001`/`DR002` are decided on the reachable
+//! ([`check_completion_coverage`], [`check_timing_assumptions`], from
+//! `emc-analyze`); `SI001`/`DR001`/`DR002` are decided on the reachable
 //! state graph ([`explore`]); `STG001` is a product construction against
 //! the specification ([`conformance`]); the `PC*` rules check recorded
 //! power-clock evaluation traces against the adiabatic phase discipline
@@ -67,21 +68,21 @@ pub mod builtin;
 pub mod conformance;
 pub mod explore;
 pub mod powerclock;
-pub mod rails;
 pub mod reduce;
 
 use std::sync::Mutex;
 
 use emc_netlist::{Diagnostic, NetId, Netlist, Severity};
+use emc_obs::json_string;
 use emc_petri::{SignalId, Stg};
 use emc_sim::{run_campaign, CampaignConfig, CampaignReport, RunReport};
 
 pub use conformance::check_conformance;
-pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
-pub use powerclock::{check_power_clock, PhaseEvent};
-pub use rails::{
+pub use emc_analyze::{
     check_completion_coverage, check_timing_assumptions, discover_rail_pairs, RailPair,
 };
+pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
+pub use powerclock::{check_power_clock, PhaseEvent};
 pub use reduce::{orbit_commutation_check, EnvFootprint, EnvPart};
 
 /// A circuit closed by its environment, ready for verification.
@@ -227,24 +228,6 @@ impl Report {
         out.push_str("]}");
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs the full rule set over circuits.

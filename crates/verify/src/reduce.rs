@@ -45,11 +45,10 @@
 
 use std::collections::HashMap;
 
-use emc_analyze::{detect_orbits, may_interfere_matrix, Interference, Orbits};
+use emc_analyze::{detect_orbits, discover_rail_pairs, may_interfere_matrix, Interference, Orbits};
 use emc_netlist::{GateId, NetId, Netlist};
 
 use crate::explore::{Explorer, State, Transition};
-use crate::rails::discover_rail_pairs;
 
 /// One independent piece of an environment's behaviour, as declared by
 /// the circuit author: the nets whose values its actions depend on, the
